@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build + run the tier1 test suite in the default config,
 # gate the benchmark artifacts (vectorized, serving, macro, chaos soak)
-# against their schemas and committed baselines, then rebuild under
+# against their schemas and committed baselines, check the standing
+# perfbench benchmark against its independent reference, then rebuild under
 # AddressSanitizer + UndefinedBehaviorSanitizer and run everything — tier1
 # plus the slow randomized harnesses (the differential stress driver) —
 # then rebuild once more under ThreadSanitizer and run the
@@ -20,12 +21,12 @@ JOBS="${1:-4}"
 # after the full build is a build artifact escaping the gitignored trees.
 STATUS_BEFORE="$(git status --porcelain)"
 
-echo "==> [1/10] default config (tier1)"
+echo "==> [1/11] default config (tier1)"
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "${JOBS}"
 ctest --test-dir build -L tier1 --output-on-failure -j "${JOBS}"
 
-echo "==> [2/10] profile/trace schema validation"
+echo "==> [2/11] profile/trace schema validation"
 # One profiled bench run, then structural validation of every emitted JSON
 # artifact: the Chrome trace, the metrics snapshot (p50/p95/p99 present on
 # histograms), and the QueryProfile document. Guards the contract consumed
@@ -75,7 +76,7 @@ print(f"profile schema ok: {len(profile['operators'])} operators, "
       f"{len(trace['traceEvents'])} trace events")
 PYEOF
 
-echo "==> [3/10] vectorized executor throughput gate"
+echo "==> [3/11] vectorized executor throughput gate"
 # Tuple vs batch engine on CPU-bound workloads (kInstant disk). The batch
 # path's whole point is amortizing per-tuple costs, so the gate fails if
 # the scan+filter or hash-join speedup drops below 2x. Results land in
@@ -100,7 +101,7 @@ print("vectorized speedups ok: " + ", ".join(
     f"{w['name']}={w['speedup']:.2f}x" for w in bench["workloads"]))
 PYEOF
 
-echo "==> [4/10] concurrent serving smoke"
+echo "==> [4/11] concurrent serving smoke"
 # Closed- and open-loop serving run through ServingEngine/QueryScheduler.
 # Schema-validates BENCH_serve.json and gates on the two properties the
 # serving layer exists for: the scheduler actually overlapped >= 2 queries
@@ -141,7 +142,7 @@ print(f"serving ok: peak_running={bench['peak_running']}, "
       f"{len(bench['open_loop'])} open loop points")
 PYEOF
 
-echo "==> [5/10] macro benchmark + perf trajectory gates"
+echo "==> [5/11] macro benchmark + perf trajectory gates"
 # The standing TPC-H-flavored macro benchmark: every engine mode over one
 # workload, with cross-mode checksums, per-query lifecycle span breakdowns
 # and the tracing-overhead measurement. Gates, in order: artifact schema,
@@ -198,7 +199,7 @@ python3 scripts/perf_compare.py build/BENCH_exec.json \
 python3 scripts/perf_compare.py build/BENCH_serve.json \
   bench/baselines/BENCH_serve.json --threshold=0.15
 
-echo "==> [6/10] chaos soak (overload/recovery gates)"
+echo "==> [6/11] chaos soak (overload/recovery gates)"
 # Standing fault-storm soak: a poison drill plus a ramp/peak/recover fault
 # schedule against the full serving stack. The binary self-gates (exit 1)
 # on oracle diffs, leaked pins/sessions, a missing shedding episode or a
@@ -248,7 +249,33 @@ print(f"soak ok: {soak['completed']}/{soak['submitted']} completed, "
       f"final={ov['final_state']}, 0 diffs / 0 leaks")
 PYEOF
 
-echo "==> [7/10] asan+ubsan config (tier1 + slow)"
+echo "==> [7/11] perfbench correctness (independent reference)"
+# The standing benchmark checks every execution path it times (serial,
+# ExecuteParallel at max_slots 1/2/4, vectorized, EXPLAIN ANALYZE and
+# served) against its own reference evaluator, which shares no code with
+# the engine. First the evaluator's hand-worked self-check, then one short
+# traced run per workload; each must report correct with 0 failed
+# operations. run.py builds the benchmark in .bench_build/ (gitignored).
+python3 perfbench/run.py --selfcheck
+for workload in solo_scan io_cpu_batch; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+    --trace 1 > "${OBS_TMP}/perfbench_${workload}.txt"
+  python3 - "${OBS_TMP}/perfbench_${workload}.txt" "${workload}" <<'PYEOF'
+import json, sys
+
+path, workload = sys.argv[1], sys.argv[2]
+lines = [l for l in open(path).read().splitlines() if l.strip()]
+assert lines, f"perfbench {workload}: no output"
+result = json.loads(lines[-1])
+assert result["correct"] is True, f"perfbench {workload}: correct is false"
+assert result["failed"] == 0, \
+    f"perfbench {workload}: {result['failed']} failed operations"
+print(f"perfbench {workload} ok: {result['attempted']} operations checked, "
+      f"0 failed")
+PYEOF
+done
+
+echo "==> [8/11] asan+ubsan config (tier1 + slow)"
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \
@@ -260,7 +287,7 @@ cmake --build build-asan -j "${JOBS}"
 ASAN_OPTIONS=abort_on_error=1 UBSAN_OPTIONS=print_stacktrace=1 \
   ctest --test-dir build-asan --output-on-failure -j "${JOBS}"
 
-echo "==> [8/10] tsan config (concurrency subset)"
+echo "==> [9/11] tsan config (concurrency subset)"
 # ThreadSanitizer catches the races the resilience layer is most exposed
 # to: the cancellation token, the done-queue control loop, the retry
 # ladder re-launching fragment runs, buffer-pool admission counters, and
@@ -274,7 +301,7 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir build-tsan \
   -R '(fault|resilience|parallel|master|throttle|obs|obs_concurrency|spill|serve|lifecycle|overload)_test' \
   --output-on-failure -j "${JOBS}"
 
-echo "==> [9/10] fixed-seed chaos smoke (tier1-gated)"
+echo "==> [10/11] fixed-seed chaos smoke (tier1-gated)"
 # Runs only once the tier1 + sanitizer stages above are green. Every mode
 # executes under a 2% read-fault injector and must recover or fail
 # retryably; the fixed seed keeps the pass reproducible, the watchdog
@@ -293,7 +320,7 @@ TSAN_OPTIONS=halt_on_error=1 ./build-tsan/bench/bench_soak --rows=1500 \
   --duration-s=2 --clients=4 --require-shedding=0 \
   --out=build-tsan/BENCH_soak.json
 
-echo "==> [10/10] artifact hygiene"
+echo "==> [11/11] artifact hygiene"
 # Build trees, object files and trace/metric dumps are gitignored; a full
 # build + test cycle must not add anything to git status. New entries are
 # build artifacts escaping into the source tree — fail loudly.

@@ -18,24 +18,14 @@ uint32_t BatchTarget(const ExecContext& ctx) {
 // ----------------------------------------------------------- BatchSeqScan
 
 BatchSeqScanOp::BatchSeqScanOp(Table* table, ExecContext ctx,
-                               int num_partitions, int partition_index)
-    : table_(table),
-      ctx_(ctx),
-      num_partitions_(num_partitions),
-      partition_index_(partition_index) {
+                               PageSource next_page)
+    : table_(table), ctx_(ctx), next_page_source_(std::move(next_page)) {
   XPRS_CHECK(table != nullptr);
-  XPRS_CHECK_GE(num_partitions, 1);
-  XPRS_CHECK_GE(partition_index, 0);
-  XPRS_CHECK_LT(partition_index, num_partitions);
 }
 
 Status BatchSeqScanOp::Open() {
   next_page_ = 0;
   pages_read_ = 0;
-  // Advance to this worker's first page.
-  while (next_page_ < table_->file().num_pages() &&
-         static_cast<int>(next_page_ % num_partitions_) != partition_index_)
-    ++next_page_;
   if (owns_node_stats_) ProfOpen();
   return Status::OK();
 }
@@ -44,19 +34,24 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
   *eof = false;
   out->Reset(&table_->schema());
   const uint32_t target = BatchTarget(ctx_);
-  while (out->size() < target && next_page_ < table_->file().num_pages()) {
+  while (out->size() < target) {
+    std::optional<uint32_t> page_index =
+        TakePage(next_page_source_, &next_page_, table_->file().num_pages());
+    if (!page_index.has_value()) break;
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
     // The pin (when pooled) lives exactly as long as this page's decode.
     PageHandle handle;
     const Page* page;
     if (ctx_.pool != nullptr) {
-      XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(next_page_));
+      XPRS_ASSIGN_OR_RETURN(BlockId block,
+                            table_->file().BlockOf(*page_index));
       auto fetched = FetchWithBackpressure(ctx_, block);
       if (!fetched.ok()) return fetched.status();
       handle = std::move(fetched).value();
       page = &handle.page();
     } else {
-      XPRS_RETURN_IF_ERROR(table_->file().ReadPage(next_page_, &direct_page_));
+      XPRS_RETURN_IF_ERROR(
+          table_->file().ReadPage(*page_index, &direct_page_));
       page = &direct_page_;
     }
     ++pages_read_;
@@ -69,7 +64,6 @@ Status BatchSeqScanOp::NextBatch(ColumnBatch* out, bool* eof) {
       XPRS_RETURN_IF_ERROR(out->AppendSerializedTuple(
           data, size, decode_mask_.empty() ? nullptr : &decode_mask_));
     }
-    next_page_ += num_partitions_;
   }
   if (out->size() == 0) {
     *eof = true;
@@ -264,16 +258,7 @@ Status BatchAggregateOp::OpenImpl() {
   results_.Reset(&schema_);
   pos_ = 0;
 
-  struct Acc {
-    int64_t count = 0;
-    int64_t sum = 0;
-    int32_t min = 0;
-    int32_t max = 0;
-    bool any = false;
-  };
-  std::unordered_map<int32_t, Acc> groups;
-  Acc global;
-
+  AggTable table(func_, group_col_ >= 0);
   const Schema& in = child_->schema();
   const bool agg_is_int = in.column(agg_col_).type == TypeId::kInt4;
   XPRS_RETURN_IF_ERROR(child_->Open());
@@ -285,57 +270,26 @@ Status BatchAggregateOp::OpenImpl() {
     const uint32_t n = scratch_.ActiveSize();
     for (uint32_t k = 0; k < n; ++k) {
       const uint32_t r = scratch_.ActiveRow(k);
-      if (scratch_.IsNullAt(agg_col_, r)) continue;  // SQL: skip NULL inputs
-      if (!agg_is_int)
+      const bool has_value = !scratch_.IsNullAt(agg_col_, r);
+      if (has_value && !agg_is_int)
         return Status::InvalidArgument("aggregate column must be int4");
-      const int32_t value = scratch_.IntAt(agg_col_, r);
-
-      Acc* acc = &global;
+      int32_t key_value = 0;
+      const int32_t* key = nullptr;
       if (group_col_ >= 0) {
         const size_t g = static_cast<size_t>(group_col_);
-        if (scratch_.IsNullAt(g, r)) continue;  // NULL group key: dropped
-        XPRS_CHECK_MSG(in.column(g).type == TypeId::kInt4,
-                       "join key must be int4");
-        acc = &groups[scratch_.IntAt(g, r)];
+        if (!scratch_.IsNullAt(g, r)) {
+          XPRS_CHECK_MSG(in.column(g).type == TypeId::kInt4,
+                         "group key must be int4");
+          key_value = scratch_.IntAt(g, r);
+          key = &key_value;
+        }
       }
-      ++acc->count;
-      acc->sum += value;
-      if (!acc->any || value < acc->min) acc->min = value;
-      if (!acc->any || value > acc->max) acc->max = value;
-      acc->any = true;
+      AggTable::Acc* acc = table.Group(key);
+      if (has_value) acc->Add(scratch_.IntAt(agg_col_, r));
     }
   }
   XPRS_RETURN_IF_ERROR(child_->Close());
-
-  auto emit = [this](const Acc& acc) -> int32_t {
-    switch (func_) {
-      case AggFunc::kCount:
-        return static_cast<int32_t>(acc.count);
-      case AggFunc::kSum:
-        return static_cast<int32_t>(acc.sum);
-      case AggFunc::kMin:
-        return acc.min;
-      case AggFunc::kMax:
-        return acc.max;
-    }
-    return 0;
-  };
-
-  if (group_col_ >= 0) {
-    // Deterministic output order: by group key.
-    std::vector<int32_t> keys;
-    keys.reserve(groups.size());
-    for (const auto& [k, acc] : groups) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    for (int32_t k : keys) {
-      const uint32_t row = results_.AddRow();
-      results_.SetInt(0, row, k);
-      results_.SetInt(1, row, emit(groups.at(k)));
-    }
-  } else if (global.any || func_ == AggFunc::kCount) {
-    const uint32_t row = results_.AddRow();
-    results_.SetInt(0, row, emit(global));
-  }
+  for (const Tuple& row : table.Rows()) results_.AppendTuple(row);
   ProfOpen();
   return Status::OK();
 }
@@ -427,25 +381,14 @@ Status VectorizedAdapterOp::Next(Tuple* out, bool* eof) {
 
 // --------------------------------------------------------------- builders
 
-namespace {
-
-bool HookLeaf(const PlanNode& node, bool partition_leftmost,
-              const BatchLeafHooks* hooks) {
-  return hooks != nullptr && hooks->is_leaf &&
-         hooks->is_leaf(&node, partition_leftmost);
-}
-
-}  // namespace
-
 bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
-                         bool partition_leftmost,
-                         const BatchLeafHooks* hooks) {
-  if (HookLeaf(node, partition_leftmost, hooks)) return true;
+                         const BlockedInputs& blocked) {
+  if (blocked.count(&node)) return true;
   switch (node.kind) {
     case PlanKind::kSeqScan:
       return true;
     case PlanKind::kAggregate:
-      return VectorizableSubtree(*node.left, ctx, partition_leftmost, hooks);
+      return VectorizableSubtree(*node.left, ctx, blocked);
     case PlanKind::kHashJoin: {
       // Spill-configured contexts use GraceHashJoinOp; stay on the tuple
       // path so memory bounds keep holding.
@@ -459,8 +402,8 @@ bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
           node.right_key >= rs.num_columns() ||
           rs.column(node.right_key).type != TypeId::kInt4)
         return false;
-      return VectorizableSubtree(*node.left, ctx, partition_leftmost, hooks) &&
-             VectorizableSubtree(*node.right, ctx, false, hooks);
+      return VectorizableSubtree(*node.left, ctx, blocked) &&
+             VectorizableSubtree(*node.right, ctx, blocked);
     }
     default:
       return false;
@@ -468,20 +411,23 @@ bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
 }
 
 StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
-    const BatchLeafHooks* hooks) {
-  if (HookLeaf(node, partition_leftmost, hooks)) {
-    // Foreign leaves re-emit another node's (already profiled) output.
-    return hooks->make(&node, partition_leftmost);
+    const PlanNode& node, const ExecContext& ctx, const BlockedInputs& blocked,
+    const GranuleSource& source) {
+  if (auto temp = blocked.find(&node); temp != blocked.end()) {
+    // Not profiled: a temp source re-emits the producing fragment's
+    // already-counted output.
+    return std::unique_ptr<BatchOperator>(std::make_unique<BatchFromTupleOp>(
+        MaybeCancelGuard(
+            std::make_unique<TempSourceOp>(temp->second, source.next_page),
+            ctx.cancel),
+        ctx.batch_rows));
   }
   OperatorStats* stats =
       ctx.profile != nullptr ? ctx.profile->StatsFor(&node) : nullptr;
   switch (node.kind) {
     case PlanKind::kSeqScan: {
-      const int n = partition_leftmost ? num_partitions : 1;
-      const int i = partition_leftmost ? partition_index : 0;
-      auto scan = std::make_unique<BatchSeqScanOp>(node.table, ctx, n, i);
+      auto scan =
+          std::make_unique<BatchSeqScanOp>(node.table, ctx, source.next_page);
       scan->set_profile_stats(stats);
       if (node.predicate.IsTrue())
         return std::unique_ptr<BatchOperator>(std::move(scan));
@@ -494,10 +440,8 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
       return std::unique_ptr<BatchOperator>(std::move(filter));
     }
     case PlanKind::kAggregate: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<BatchOperator> child,
-          BuildBatchTree(*node.left, ctx, num_partitions, partition_index,
-                         partition_leftmost, hooks));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> child,
+                            BuildBatchTree(*node.left, ctx, blocked, source));
       // The aggregate reads only its agg / group columns: prune the rest
       // out of the child pipeline (scans skip the decode, joins skip the
       // copy). The root of a pipeline is never pruned, so results at the
@@ -513,13 +457,12 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
       return std::unique_ptr<BatchOperator>(std::move(op));
     }
     case PlanKind::kHashJoin: {
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> outer,
+                            BuildBatchTree(*node.left, ctx, blocked, source));
+      // The build side always reads whole.
       XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<BatchOperator> outer,
-          BuildBatchTree(*node.left, ctx, num_partitions, partition_index,
-                         partition_leftmost, hooks));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> inner,
-                            BuildBatchTree(*node.right, ctx, 1, 0, false,
-                                           hooks));
+          std::unique_ptr<BatchOperator> inner,
+          BuildBatchTree(*node.right, ctx, blocked, GranuleSource()));
       auto op = std::make_unique<BatchHashJoinOp>(std::move(outer),
                                                   std::move(inner),
                                                   node.left_key,
@@ -533,13 +476,10 @@ StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
 }
 
 StatusOr<std::unique_ptr<Operator>> BuildVectorizedTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
-    const BatchLeafHooks* hooks) {
-  XPRS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchOperator> root,
-      BuildBatchTree(node, ctx, num_partitions, partition_index,
-                     partition_leftmost, hooks));
+    const PlanNode& node, const ExecContext& ctx, const BlockedInputs& blocked,
+    const GranuleSource& source) {
+  XPRS_ASSIGN_OR_RETURN(std::unique_ptr<BatchOperator> root,
+                        BuildBatchTree(node, ctx, blocked, source));
   // The adapter is the subtree's outermost cancellation point; it is not
   // profiled (the batch operators own their nodes' stats).
   return std::unique_ptr<Operator>(

@@ -15,13 +15,12 @@
 // operators — stays tuple-at-a-time; BuildVectorizedTree bridges a batch
 // subtree into those consumers (and into fragments, the parallel master
 // and Drain) through a VectorizedAdapterOp, while BatchFromTupleOp makes
-// foreign tuple sources (materialized fragment inputs, dynamically driven
-// scan leaves) look like batch sources inside a vectorized subtree.
+// materialized fragment inputs look like batch sources inside a
+// vectorized subtree.
 
 #ifndef XPRS_EXEC_BATCH_OPS_H_
 #define XPRS_EXEC_BATCH_OPS_H_
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -91,13 +90,12 @@ class BatchOperator {
 
 /// Batched sequential scan: decodes whole heap pages straight into columns
 /// (no per-tuple Tuple/Value materialization) until the batch reaches
-/// ctx.batch_rows. Supports the same static page partitioning as SeqScanOp
-/// and polls ctx.cancel once per page. Pins are held one page at a time —
-/// never across NextBatch calls.
+/// ctx.batch_rows. Reads every page, or the pages `next_page` hands out,
+/// like SeqScanOp, and polls ctx.cancel once per page. Pins are held one
+/// page at a time — never across NextBatch calls.
 class BatchSeqScanOp : public BatchOperator {
  public:
-  BatchSeqScanOp(Table* table, ExecContext ctx, int num_partitions = 1,
-                 int partition_index = 0);
+  BatchSeqScanOp(Table* table, ExecContext ctx, PageSource next_page = {});
 
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eof) override;
@@ -118,10 +116,9 @@ class BatchSeqScanOp : public BatchOperator {
  private:
   Table* const table_;
   const ExecContext ctx_;
-  const int num_partitions_;
-  const int partition_index_;
+  const PageSource next_page_source_;
 
-  uint32_t next_page_ = 0;
+  uint32_t next_page_ = 0;  // cursor when there is no page source
   uint64_t pages_read_ = 0;
   Page direct_page_;  // used when no buffer pool
   bool owns_node_stats_ = true;
@@ -189,7 +186,8 @@ class BatchHashJoinOp : public BatchOperator {
 
 /// Batched hash aggregation: drains its child on Open (one accumulator
 /// update per active row, read directly from the columns), emits one row
-/// per group in key order. Mirrors AggregateOp's NULL semantics exactly.
+/// per group in key order. Shares AggregateOp's AggTable, NULL semantics
+/// included.
 class BatchAggregateOp : public BatchOperator {
  public:
   BatchAggregateOp(std::unique_ptr<BatchOperator> child, Schema output_schema,
@@ -216,9 +214,9 @@ class BatchAggregateOp : public BatchOperator {
   uint32_t pos_ = 0;
 };
 
-/// Bridges a tuple operator into a batch subtree (fragment temp sources,
-/// dynamically driven scan leaves): pulls up to `batch_rows` tuples per
-/// NextBatch. Not profiled — foreign leaves re-emit another node's output.
+/// Bridges a tuple operator into a batch subtree (fragment temp sources):
+/// pulls up to `batch_rows` tuples per NextBatch. Not profiled — foreign
+/// leaves re-emit another node's output.
 class BatchFromTupleOp : public BatchOperator {
  public:
   BatchFromTupleOp(std::unique_ptr<Operator> child, size_t batch_rows);
@@ -257,39 +255,25 @@ class VectorizedAdapterOp : public Operator {
   bool done_ = false;
 };
 
-/// Foreign-leaf hooks for the fragment builder: substitute batch sources
-/// for plan nodes a vectorized subtree cannot build itself (blocked
-/// fragment inputs, the dynamically driven leaf). `partition_leftmost` is
-/// true only along the spine from the subtree root to its left-most leaf.
-struct BatchLeafHooks {
-  /// True when `make` would substitute this node.
-  std::function<bool(const PlanNode* node, bool partition_leftmost)> is_leaf;
-  std::function<StatusOr<std::unique_ptr<BatchOperator>>(
-      const PlanNode* node, bool partition_leftmost)>
-      make;
-};
-
 /// True when the whole subtree rooted at `node` compiles to a batch
 /// pipeline: SeqScan / HashJoin / Aggregate nodes (hash joins defer to
-/// GraceHashJoinOp when spilling is configured) plus hook-substituted
-/// leaves. `hooks` may be null.
+/// GraceHashJoinOp when spilling is configured) over scans and `blocked`
+/// inputs.
 bool VectorizableSubtree(const PlanNode& node, const ExecContext& ctx,
-                         bool partition_leftmost,
-                         const BatchLeafHooks* hooks);
+                         const BlockedInputs& blocked);
 
 /// Builds the batch pipeline for a vectorizable subtree, binding each
-/// node's stats when ctx.profile is set. Callers must have checked
-/// VectorizableSubtree.
+/// node's stats when ctx.profile is set. Nodes in `blocked` become
+/// BatchFromTupleOp over a TempSourceOp; `source` feeds the driving
+/// (left-most) leaf. Callers must have checked VectorizableSubtree.
 StatusOr<std::unique_ptr<BatchOperator>> BuildBatchTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
-    const BatchLeafHooks* hooks);
+    const PlanNode& node, const ExecContext& ctx, const BlockedInputs& blocked,
+    const GranuleSource& source);
 
 /// BuildBatchTree bridged into the tuple protocol via VectorizedAdapterOp.
 StatusOr<std::unique_ptr<Operator>> BuildVectorizedTree(
-    const PlanNode& node, const ExecContext& ctx, int num_partitions,
-    int partition_index, bool partition_leftmost,
-    const BatchLeafHooks* hooks);
+    const PlanNode& node, const ExecContext& ctx, const BlockedInputs& blocked,
+    const GranuleSource& source);
 
 }  // namespace xprs
 

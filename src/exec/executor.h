@@ -12,12 +12,10 @@
 namespace xprs {
 
 /// Builds a complete operator tree for a plan (no fragment boundaries —
-/// blocking operators like Sort and the hash-join build run inline).
-/// `num_partitions`/`partition_index` statically page-partition the
-/// *left-most* scan of the tree; inner/build scans are executed in full.
-StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(
-    const PlanNode& plan, const ExecContext& ctx, int num_partitions = 1,
-    int partition_index = 0);
+/// blocking operators like Sort and the hash-join build run inline): the
+/// fragment builder (exec/fragment.h) over a plan with no blocked inputs.
+StatusOr<std::unique_ptr<Operator>> BuildOperatorTree(const PlanNode& plan,
+                                                      const ExecContext& ctx);
 
 /// Convenience: build + drain. The trusted reference executor tests and
 /// the parallel executor compare against.

@@ -197,190 +197,109 @@ Status ValidateFragmentGraph(const FragmentGraph& graph,
   return Status::OK();
 }
 
-namespace {
-
-StatusOr<std::unique_ptr<Operator>> BuildFrag(
-    const FragmentGraph& graph, const Fragment& frag, const PlanNode* node,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions, int partition_index, bool partition_leftmost,
-    const DrivingLeafFactory* factory) {
+StatusOr<std::unique_ptr<Operator>> BuildOperators(
+    const PlanNode& node, const ExecContext& ctx, const BlockedInputs& blocked,
+    const GranuleSource& source) {
   // A blocked input is replaced by a source over the producing fragment's
-  // materialized output (or by the driving factory if it is the driving
-  // leaf). Neither is profiled: a temp source re-emits another fragment's
-  // output (profiling it would double-count the producing node), and the
-  // factory's driven ops are bound to stats by the parallel layer.
-  auto blocked = frag.blocked_inputs.find(node);
-  if (blocked != frag.blocked_inputs.end()) {
-    if (partition_leftmost && factory != nullptr) {
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, (*factory)(node));
-      return MaybeCancelGuard(std::move(leaf), ctx.cancel);
-    }
-    auto temp = inputs.find(blocked->second);
-    if (temp == inputs.end() || temp->second == nullptr)
-      return Status::FailedPrecondition(
-          StrFormat("fragment %d input (fragment %d) not materialized",
-                    frag.id, blocked->second));
-    return MaybeCancelGuard(std::make_unique<TempSourceOp>(temp->second),
-                            ctx.cancel);
-  }
-  if (partition_leftmost && factory != nullptr &&
-      (node->kind == PlanKind::kSeqScan ||
-       node->kind == PlanKind::kIndexScan)) {
-    XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> leaf, (*factory)(node));
-    return MaybeCancelGuard(std::move(leaf), ctx.cancel);
+  // materialized output. Not profiled: it re-emits another fragment's
+  // output, and profiling it would double-count the producing node.
+  if (auto temp = blocked.find(&node); temp != blocked.end()) {
+    return MaybeCancelGuard(
+        std::make_unique<TempSourceOp>(temp->second, source.next_page),
+        ctx.cancel);
   }
 
-  // Vectorized mode: compile maximal batch-capable subtrees, bridging
-  // foreign leaves (blocked fragment inputs, the dynamically driven leaf)
-  // into the batch pipeline through BatchFromTupleOp. Non-vectorizable
-  // subtrees fall through to the tuple operators below.
-  if (ctx.vectorized) {
-    BatchLeafHooks hooks;
-    hooks.is_leaf = [&frag, factory](const PlanNode* n, bool leftmost) {
-      return frag.blocked_inputs.count(n) > 0 ||
-             (leftmost && factory != nullptr &&
-              (n->kind == PlanKind::kSeqScan ||
-               n->kind == PlanKind::kIndexScan));
-    };
-    hooks.make = [&frag, &inputs, &ctx, factory](const PlanNode* n,
-                                                 bool leftmost)
-        -> StatusOr<std::unique_ptr<BatchOperator>> {
-      // Mirrors the tuple-path leaf substitution above: the driving
-      // factory serves the driving leaf, materialized producer output
-      // serves every other blocked input. Neither is profiled.
-      std::unique_ptr<Operator> leaf;
-      auto blocked_leaf = frag.blocked_inputs.find(n);
-      if (blocked_leaf != frag.blocked_inputs.end() &&
-          !(leftmost && factory != nullptr)) {
-        auto temp = inputs.find(blocked_leaf->second);
-        if (temp == inputs.end() || temp->second == nullptr)
-          return Status::FailedPrecondition(
-              StrFormat("fragment %d input (fragment %d) not materialized",
-                        frag.id, blocked_leaf->second));
-        leaf = std::make_unique<TempSourceOp>(temp->second);
-      } else {
-        XPRS_ASSIGN_OR_RETURN(leaf, (*factory)(n));
-      }
-      return std::unique_ptr<BatchOperator>(
-          std::make_unique<BatchFromTupleOp>(
-              MaybeCancelGuard(std::move(leaf), ctx.cancel),
-              ctx.batch_rows));
-    };
-    if (VectorizableSubtree(*node, ctx, partition_leftmost, &hooks)) {
-      return BuildVectorizedTree(*node, ctx, num_partitions, partition_index,
-                                 partition_leftmost, &hooks);
-    }
-  }
+  // Vectorized mode: compile maximal batch-capable subtrees to the batch
+  // operators. Non-vectorizable ancestors (sort, merge join, ...) fall
+  // through to the tuple operators below, and their child recursion lands
+  // back here — so mixed plans get a tuple crown over vectorized subtrees.
+  if (ctx.vectorized && VectorizableSubtree(node, ctx, blocked))
+    return BuildVectorizedTree(node, ctx, blocked, source);
 
+  // Only the left-most leaf drives the pipeline; inner and build sides
+  // read whole.
+  auto left = [&]() {
+    return BuildOperators(*node.left, ctx, blocked, source);
+  };
+  auto right = [&]() {
+    return BuildOperators(*node.right, ctx, blocked, GranuleSource());
+  };
   std::unique_ptr<Operator> op;
-  switch (node->kind) {
-    case PlanKind::kSeqScan: {
-      int n = partition_leftmost ? num_partitions : 1;
-      int i = partition_leftmost ? partition_index : 0;
-      op = std::make_unique<SeqScanOp>(node->table, node->predicate, ctx, n,
-                                       i);
+  switch (node.kind) {
+    case PlanKind::kSeqScan:
+      op = std::make_unique<SeqScanOp>(node.table, node.predicate, ctx,
+                                       source.next_page);
       break;
-    }
     case PlanKind::kIndexScan:
-      op = std::make_unique<IndexScanOp>(node->table, node->predicate,
-                                         node->index_range, ctx);
+      op = std::make_unique<IndexScanOp>(node.table, node.predicate,
+                                         node.index_range, ctx,
+                                         source.next_range);
       break;
     case PlanKind::kSort: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> child,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> child, left());
       if (ctx.spill.temp_array != nullptr) {
-        op = std::make_unique<ExternalSortOp>(std::move(child),
-                                              node->sort_key, ctx.spill);
+        op = std::make_unique<ExternalSortOp>(std::move(child), node.sort_key,
+                                              ctx.spill);
       } else {
-        op = std::make_unique<SortOp>(std::move(child), node->sort_key);
+        op = std::make_unique<SortOp>(std::move(child), node.sort_key);
       }
       break;
     }
     case PlanKind::kAggregate: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> child,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      op = std::make_unique<AggregateOp>(std::move(child),
-                                         node->output_schema, node->agg_func,
-                                         node->agg_col, node->group_col);
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> child, left());
+      op = std::make_unique<AggregateOp>(std::move(child), node.output_schema,
+                                         node.agg_func, node.agg_col,
+                                         node.group_col);
       break;
     }
     case PlanKind::kNestLoopJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> outer,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                            BuildFrag(graph, frag, node->right.get(), inputs,
-                                      ctx, 1, 0, false, nullptr));
-      op = std::make_unique<NestLoopJoinOp>(std::move(outer),
-                                            std::move(inner), node->left_key,
-                                            node->right_key);
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer, left());
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner, right());
+      op = std::make_unique<NestLoopJoinOp>(std::move(outer), std::move(inner),
+                                            node.left_key, node.right_key);
       break;
     }
     case PlanKind::kMergeJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> outer,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                            BuildFrag(graph, frag, node->right.get(), inputs,
-                                      ctx, 1, 0, false, nullptr));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer, left());
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner, right());
       op = std::make_unique<MergeJoinOp>(std::move(outer), std::move(inner),
-                                         node->left_key, node->right_key);
+                                         node.left_key, node.right_key);
       break;
     }
     case PlanKind::kHashJoin: {
-      XPRS_ASSIGN_OR_RETURN(
-          std::unique_ptr<Operator> outer,
-          BuildFrag(graph, frag, node->left.get(), inputs, ctx,
-                    num_partitions, partition_index, partition_leftmost,
-                    factory));
-      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner,
-                            BuildFrag(graph, frag, node->right.get(), inputs,
-                                      ctx, 1, 0, false, nullptr));
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> outer, left());
+      XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> inner, right());
       if (ctx.spill.temp_array != nullptr) {
         op = std::make_unique<GraceHashJoinOp>(std::move(outer),
-                                               std::move(inner),
-                                               node->left_key,
-                                               node->right_key, ctx.spill);
+                                               std::move(inner), node.left_key,
+                                               node.right_key, ctx.spill);
       } else {
         op = std::make_unique<HashJoinOp>(std::move(outer), std::move(inner),
-                                          node->left_key, node->right_key);
+                                          node.left_key, node.right_key);
       }
       break;
     }
   }
   if (op == nullptr) return Status::Internal("unknown plan kind");
-  return MaybeCancelGuard(MaybeProfile(std::move(op), node, ctx.profile),
+  return MaybeCancelGuard(MaybeProfile(std::move(op), &node, ctx.profile),
                           ctx.cancel);
 }
-
-}  // namespace
 
 StatusOr<std::unique_ptr<Operator>> BuildFragmentOperators(
     const FragmentGraph& graph, int frag_id,
     const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions, int partition_index) {
+    const GranuleSource& source) {
   const Fragment& frag = graph.fragment(frag_id);
-  return BuildFrag(graph, frag, frag.root, inputs, ctx, num_partitions,
-                   partition_index, /*partition_leftmost=*/true, nullptr);
-}
-
-StatusOr<std::unique_ptr<Operator>> BuildFragmentOperatorsWithDriver(
-    const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    const DrivingLeafFactory& factory) {
-  const Fragment& frag = graph.fragment(frag_id);
-  return BuildFrag(graph, frag, frag.root, inputs, ctx, 1, 0,
-                   /*partition_leftmost=*/true, &factory);
+  BlockedInputs blocked;
+  for (const auto& [node, producer] : frag.blocked_inputs) {
+    auto temp = inputs.find(producer);
+    if (temp == inputs.end() || temp->second == nullptr)
+      return Status::FailedPrecondition(
+          StrFormat("fragment %d input (fragment %d) not materialized",
+                    frag.id, producer));
+    blocked[node] = temp->second;
+  }
+  return BuildOperators(*frag.root, ctx, blocked, source);
 }
 
 const PlanNode* DrivingLeaf(const FragmentGraph& graph, int frag_id) {
@@ -400,12 +319,9 @@ const PlanNode* DrivingLeaf(const FragmentGraph& graph, int frag_id) {
 
 StatusOr<TempResult> ExecuteFragment(
     const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions, int partition_index) {
-  XPRS_ASSIGN_OR_RETURN(
-      std::unique_ptr<Operator> root,
-      BuildFragmentOperators(graph, frag_id, inputs, ctx, num_partitions,
-                             partition_index));
+    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx) {
+  XPRS_ASSIGN_OR_RETURN(std::unique_ptr<Operator> root,
+                        BuildFragmentOperators(graph, frag_id, inputs, ctx));
   TempResult result;
   result.schema = graph.fragment(frag_id).root->output_schema;
   XPRS_ASSIGN_OR_RETURN(result.tuples, Drain(root.get()));

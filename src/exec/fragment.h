@@ -12,7 +12,6 @@
 #ifndef XPRS_EXEC_FRAGMENT_H_
 #define XPRS_EXEC_FRAGMENT_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -73,35 +72,28 @@ class FragmentGraph {
 /// Returns FailedPrecondition describing the first violation.
 Status ValidateFragmentGraph(const FragmentGraph& graph, const PlanNode& plan);
 
-/// Executes one fragment with the given materialized inputs, optionally as
-/// one worker of a static page partition (worker `partition_index` of
-/// `num_partitions` over the fragment's driving scan).
-StatusOr<TempResult> ExecuteFragment(
-    const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions = 1, int partition_index = 0);
+/// The plan-to-operator builder behind every execution mode. Builds the
+/// subtree at `node`: each node in `blocked` becomes a TempSourceOp over
+/// its materialized output, and `source` feeds the driving leaf (the
+/// left-most scan or blocked input); inner and build-side leaves always
+/// read whole. In vectorized mode, maximal batch-capable subtrees compile
+/// to batch pipelines (exec/batch_ops.h).
+StatusOr<std::unique_ptr<Operator>> BuildOperators(
+    const PlanNode& node, const ExecContext& ctx, const BlockedInputs& blocked,
+    const GranuleSource& source);
 
-/// Builds the operator tree of one fragment (blocked inputs replaced by
-/// TempSourceOp over `inputs`). Exposed for the parallel executor.
+/// Builds the operator tree of one fragment, its blocked inputs read from
+/// `inputs`. A parallel fragment's slaves each pass a `source` over the
+/// shared partition state.
 StatusOr<std::unique_ptr<Operator>> BuildFragmentOperators(
     const FragmentGraph& graph, int frag_id,
     const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    int num_partitions = 1, int partition_index = 0);
+    const GranuleSource& source = {});
 
-/// Factory for the fragment's *driving* source — the left-most leaf of its
-/// pipeline (a scan, or the TempSource of a blocked left-most input). The
-/// parallel executor uses this to substitute dynamically partitioned
-/// sources. Receives the leaf plan node, or nullptr when the driving leaf
-/// is a blocked input (the factory then wraps that fragment's TempResult).
-using DrivingLeafFactory =
-    std::function<StatusOr<std::unique_ptr<Operator>>(const PlanNode* leaf)>;
-
-/// BuildFragmentOperators variant replacing the driving leaf via `factory`;
-/// all other leaves are built normally (inner scans run whole).
-StatusOr<std::unique_ptr<Operator>> BuildFragmentOperatorsWithDriver(
+/// Executes one fragment whole with the given materialized inputs.
+StatusOr<TempResult> ExecuteFragment(
     const FragmentGraph& graph, int frag_id,
-    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx,
-    const DrivingLeafFactory& factory);
+    const std::map<int, const TempResult*>& inputs, const ExecContext& ctx);
 
 /// The driving leaf of a fragment: its left-most plan node that is either
 /// a scan or a blocked input. Returns the node (which may be a blocked

@@ -25,16 +25,12 @@ bool GetKey(const Tuple& tuple, size_t column, int32_t* key) {
 // ---------------------------------------------------------------- SeqScan
 
 SeqScanOp::SeqScanOp(Table* table, Predicate predicate, ExecContext ctx,
-                     int num_partitions, int partition_index)
+                     PageSource next_page)
     : table_(table),
       predicate_(std::move(predicate)),
       ctx_(ctx),
-      num_partitions_(num_partitions),
-      partition_index_(partition_index) {
+      next_page_source_(std::move(next_page)) {
   XPRS_CHECK(table != nullptr);
-  XPRS_CHECK_GE(num_partitions, 1);
-  XPRS_CHECK_GE(partition_index, 0);
-  XPRS_CHECK_LT(partition_index, num_partitions);
 }
 
 Status SeqScanOp::Open() {
@@ -44,14 +40,23 @@ Status SeqScanOp::Open() {
   pages_read_ = 0;
   current_ = nullptr;
   pooled_page_.Release();
-  // Advance to this worker's first page.
-  while (next_page_ < table_->file().num_pages() &&
-         static_cast<int>(next_page_ % num_partitions_) != partition_index_)
-    ++next_page_;
   return Status::OK();
 }
 
-Status SeqScanOp::LoadPage(uint32_t page_index) {
+std::optional<uint32_t> TakePage(const PageSource& source, uint32_t* cursor,
+                                 uint32_t num_pages) {
+  if (source) return source();
+  if (*cursor >= num_pages) return std::nullopt;
+  return (*cursor)++;
+}
+
+Status SeqScanOp::LoadNextPage(bool* eof) {
+  std::optional<uint32_t> page_index =
+      TakePage(next_page_source_, &next_page_, table_->file().num_pages());
+  if (!page_index.has_value()) {
+    *eof = true;
+    return Status::OK();
+  }
   if (ctx_.cancel != nullptr) {
     Status live = ctx_.cancel->Check();
     if (!live.ok()) {
@@ -60,13 +65,13 @@ Status SeqScanOp::LoadPage(uint32_t page_index) {
     }
   }
   if (ctx_.pool != nullptr) {
-    XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(page_index));
+    XPRS_ASSIGN_OR_RETURN(BlockId block, table_->file().BlockOf(*page_index));
     auto handle = FetchWithBackpressure(ctx_, block);
     if (!handle.ok()) return handle.status();
     pooled_page_ = std::move(handle).value();
     current_ = &pooled_page_.page();
   } else {
-    XPRS_RETURN_IF_ERROR(table_->file().ReadPage(page_index, &direct_page_));
+    XPRS_RETURN_IF_ERROR(table_->file().ReadPage(*page_index, &direct_page_));
     current_ = &direct_page_;
   }
   ++pages_read_;
@@ -87,11 +92,8 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
   for (;;) {
     if (!page_loaded_) {
-      if (next_page_ >= table_->file().num_pages()) {
-        *eof = true;
-        return Status::OK();
-      }
-      XPRS_RETURN_IF_ERROR(LoadPage(next_page_));
+      XPRS_RETURN_IF_ERROR(LoadNextPage(eof));
+      if (*eof) return Status::OK();
     }
     while (next_slot_ < current_->num_tuples()) {
       const uint8_t* data;
@@ -105,21 +107,20 @@ Status SeqScanOp::Next(Tuple* out, bool* eof) {
         return Status::OK();
       }
     }
-    // Page exhausted: step to this worker's next page.
     page_loaded_ = false;
     pooled_page_.Release();
-    next_page_ += num_partitions_;
   }
 }
 
 // -------------------------------------------------------------- IndexScan
 
 IndexScanOp::IndexScanOp(Table* table, Predicate predicate, KeyRange range,
-                         ExecContext ctx)
+                         ExecContext ctx, RangeSource next_range)
     : table_(table),
       predicate_(std::move(predicate)),
       range_(range),
-      ctx_(ctx) {
+      ctx_(ctx),
+      next_range_(std::move(next_range)) {
   XPRS_CHECK(table != nullptr);
   XPRS_CHECK_MSG(table->index() != nullptr, "index scan without index");
 }
@@ -127,15 +128,30 @@ IndexScanOp::IndexScanOp(Table* table, Predicate predicate, KeyRange range,
 Status IndexScanOp::Open() {
   // No cleanup needed on failure: the iterator is the only resource and it
   // is only installed on success; page pins are scoped to each Next call.
-  XPRS_ASSIGN_OR_RETURN(it_,
-                        table_->index()->ScanChecked(range_.lo, range_.hi));
+  // With a key-chunk source, Next opens one iterator per chunk.
+  it_.reset();
+  if (!next_range_) {
+    XPRS_ASSIGN_OR_RETURN(it_,
+                          table_->index()->ScanChecked(range_.lo, range_.hi));
+  }
   tuples_fetched_ = 0;
   return Status::OK();
 }
 
 Status IndexScanOp::Next(Tuple* out, bool* eof) {
   *eof = false;
-  while (it_->Valid()) {
+  for (;;) {
+    if (!it_.has_value() || !it_->Valid()) {
+      std::optional<KeyRange> chunk =
+          next_range_ ? next_range_() : std::nullopt;
+      if (!chunk.has_value()) {
+        *eof = true;
+        return Status::OK();
+      }
+      XPRS_ASSIGN_OR_RETURN(it_,
+                            table_->index()->ScanChecked(chunk->lo, chunk->hi));
+      continue;
+    }
     // Every iteration costs a random page read, so a per-tuple poll of the
     // token is in the noise here.
     if (ctx_.cancel != nullptr) XPRS_RETURN_IF_ERROR(ctx_.cancel->Check());
@@ -161,8 +177,6 @@ Status IndexScanOp::Next(Tuple* out, bool* eof) {
       return Status::OK();
     }
   }
-  *eof = true;
-  return Status::OK();
 }
 
 // ----------------------------------------------------------------- Filter
@@ -453,16 +467,7 @@ Status AggregateOp::OpenImpl() {
   results_.clear();
   pos_ = 0;
 
-  struct Acc {
-    int64_t count = 0;
-    int64_t sum = 0;
-    int32_t min = 0;
-    int32_t max = 0;
-    bool any = false;
-  };
-  std::unordered_map<int32_t, Acc> groups;
-  Acc global;
-
+  AggTable table(func_, group_col_ >= 0);
   XPRS_RETURN_IF_ERROR(child_->Open());
   for (;;) {
     Tuple tuple;
@@ -470,50 +475,20 @@ Status AggregateOp::OpenImpl() {
     XPRS_RETURN_IF_ERROR(child_->Next(&tuple, &eof));
     if (eof) break;
     const Value& v = tuple.value(agg_col_);
-    if (IsNull(v)) continue;
     const int32_t* value = std::get_if<int32_t>(&v);
-    if (value == nullptr)
+    if (value == nullptr && !IsNull(v))
       return Status::InvalidArgument("aggregate column must be int4");
-
-    Acc* acc = &global;
+    const int32_t* key = nullptr;
     if (group_col_ >= 0) {
-      int32_t key;
-      if (!GetKey(tuple, static_cast<size_t>(group_col_), &key)) continue;
-      acc = &groups[key];
+      const Value& k = tuple.value(static_cast<size_t>(group_col_));
+      key = std::get_if<int32_t>(&k);
+      XPRS_CHECK_MSG(key != nullptr || IsNull(k), "group key must be int4");
     }
-    ++acc->count;
-    acc->sum += *value;
-    if (!acc->any || *value < acc->min) acc->min = *value;
-    if (!acc->any || *value > acc->max) acc->max = *value;
-    acc->any = true;
+    AggTable::Acc* acc = table.Group(key);
+    if (value != nullptr) acc->Add(*value);
   }
   XPRS_RETURN_IF_ERROR(child_->Close());
-
-  auto emit = [this](const Acc& acc) -> int32_t {
-    switch (func_) {
-      case AggFunc::kCount:
-        return static_cast<int32_t>(acc.count);
-      case AggFunc::kSum:
-        return static_cast<int32_t>(acc.sum);
-      case AggFunc::kMin:
-        return acc.min;
-      case AggFunc::kMax:
-        return acc.max;
-    }
-    return 0;
-  };
-
-  if (group_col_ >= 0) {
-    // Deterministic output order: by group key.
-    std::vector<int32_t> keys;
-    keys.reserve(groups.size());
-    for (const auto& [k, acc] : groups) keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    for (int32_t k : keys)
-      results_.push_back(Tuple({Value(k), Value(emit(groups.at(k)))}));
-  } else if (global.any || func_ == AggFunc::kCount) {
-    results_.push_back(Tuple({Value(emit(global))}));
-  }
+  results_ = table.Rows();
   return Status::OK();
 }
 
@@ -530,6 +505,42 @@ Status AggregateOp::Next(Tuple* out, bool* eof) {
 Status AggregateOp::Close() {
   results_.clear();
   return Status::OK();
+}
+
+// --------------------------------------------------------------- AggTable
+
+Value AggTable::Result(const Acc& acc) const {
+  // count is never NULL; sum/min/max over no values are.
+  if (acc.count == 0 && func_ != AggFunc::kCount) return Value();
+  switch (func_) {
+    case AggFunc::kCount:
+      return Value(static_cast<int32_t>(acc.count));
+    case AggFunc::kSum:
+      return Value(static_cast<int32_t>(acc.sum));
+    case AggFunc::kMin:
+      return Value(acc.min);
+    case AggFunc::kMax:
+      return Value(acc.max);
+  }
+  return Value();
+}
+
+std::vector<Tuple> AggTable::Rows() const {
+  std::vector<Tuple> rows;
+  if (!grouped_) {
+    rows.push_back(Tuple({Result(global_)}));
+    return rows;
+  }
+  if (null_group_.has_value())
+    rows.push_back(Tuple({Value(), Result(*null_group_)}));
+  // Deterministic output order: by group key.
+  std::vector<int32_t> keys;
+  keys.reserve(groups_.size());
+  for (const auto& [k, acc] : groups_) keys.push_back(k);
+  std::sort(keys.begin(), keys.end());
+  for (int32_t k : keys)
+    rows.push_back(Tuple({Value(k), Result(groups_.at(k))}));
+  return rows;
 }
 
 // ------------------------------------------------------------------- Sort
@@ -583,19 +594,31 @@ Status SortOp::Close() {
 
 // ------------------------------------------------------------- TempSource
 
-TempSourceOp::TempSourceOp(const TempResult* temp) : temp_(temp) {
+uint32_t TempSourceOp::NumBatches(size_t num_tuples) {
+  return static_cast<uint32_t>((num_tuples + kBatchTuples - 1) / kBatchTuples);
+}
+
+TempSourceOp::TempSourceOp(const TempResult* temp, PageSource next_batch)
+    : temp_(temp), next_batch_(std::move(next_batch)) {
   XPRS_CHECK(temp != nullptr);
 }
 
 Status TempSourceOp::Open() {
   pos_ = 0;
+  end_ = next_batch_ ? 0 : temp_->tuples.size();
   return Status::OK();
 }
 
 Status TempSourceOp::Next(Tuple* out, bool* eof) {
-  if (pos_ >= temp_->tuples.size()) {
-    *eof = true;
-    return Status::OK();
+  while (pos_ >= end_) {
+    std::optional<uint32_t> batch =
+        next_batch_ ? next_batch_() : std::nullopt;
+    if (!batch.has_value()) {
+      *eof = true;
+      return Status::OK();
+    }
+    pos_ = static_cast<size_t>(*batch) * kBatchTuples;
+    end_ = std::min(pos_ + kBatchTuples, temp_->tuples.size());
   }
   *eof = false;
   *out = temp_->tuples[pos_++];

@@ -7,6 +7,8 @@
 #ifndef XPRS_EXEC_OPERATORS_H_
 #define XPRS_EXEC_OPERATORS_H_
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -117,13 +119,31 @@ class Operator {
   OperatorStats* prof_ = nullptr;
 };
 
-/// Sequential scan over a heap file with an optional static page partition:
-/// worker `partition_index` of `num_partitions` reads pages
-/// {p | p mod num_partitions == partition_index} (§2.4 page partitioning).
+/// Hands a driving source its next work granule, or nothing once the
+/// slave's share is done.
+using PageSource = std::function<std::optional<uint32_t>()>;
+using RangeSource = std::function<std::optional<KeyRange>()>;
+
+/// Where a pipeline's driving leaf (its left-most scan or blocked input)
+/// takes its granules from. Each slave of a parallel fragment builds its
+/// own pipeline over a source that pulls from the fragment's shared
+/// partition state (§2.4: parallel/page_partition.h, range_partition.h).
+/// An empty source reads the whole table, key range or result.
+struct GranuleSource {
+  /// Heap pages (SeqScan) or TempSourceOp::kBatchTuples-tuple batches of a
+  /// materialized input.
+  PageSource next_page;
+  /// Key chunks (IndexScan).
+  RangeSource next_range;
+};
+
+/// Sequential scan over a heap file: every page in order, or only the
+/// pages `next_page` hands out (one slave's share of a page-partitioned
+/// scan).
 class SeqScanOp : public Operator {
  public:
   SeqScanOp(Table* table, Predicate predicate, ExecContext ctx,
-            int num_partitions = 1, int partition_index = 0);
+            PageSource next_page = {});
 
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
@@ -136,15 +156,15 @@ class SeqScanOp : public Operator {
   uint64_t pages_read() const { return pages_read_; }
 
  private:
-  Status LoadPage(uint32_t page_index);
+  // Loads the next page of this scan's share, or sets *eof.
+  Status LoadNextPage(bool* eof);
 
   Table* const table_;
   const Predicate predicate_;
   const ExecContext ctx_;
-  const int num_partitions_;
-  const int partition_index_;
+  const PageSource next_page_source_;
 
-  uint32_t next_page_ = 0;
+  uint32_t next_page_ = 0;    // cursor when there is no page source
   uint16_t next_slot_ = 0;
   bool page_loaded_ = false;
   Page direct_page_;          // used when no buffer pool
@@ -153,13 +173,19 @@ class SeqScanOp : public Operator {
   uint64_t pages_read_ = 0;
 };
 
-/// Unclustered index scan: walks index entries with key in `range`, fetches
-/// each qualifying tuple by TupleId (one random page read per tuple — the
-/// §3 "most IO-bound" access pattern), applies the residual predicate.
+/// The next page of a scan's share: from `source` when set, else the
+/// whole-table `*cursor` (advanced) while it is below `num_pages`.
+std::optional<uint32_t> TakePage(const PageSource& source, uint32_t* cursor,
+                                 uint32_t num_pages);
+
+/// Unclustered index scan: walks index entries with key in `range` (or in
+/// each key chunk `next_range` hands out), fetches each qualifying tuple by
+/// TupleId (one random page read per tuple — the §3 "most IO-bound" access
+/// pattern), applies the residual predicate.
 class IndexScanOp : public Operator {
  public:
   IndexScanOp(Table* table, Predicate predicate, KeyRange range,
-              ExecContext ctx);
+              ExecContext ctx, RangeSource next_range = {});
 
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
@@ -172,6 +198,7 @@ class IndexScanOp : public Operator {
   const Predicate predicate_;
   const KeyRange range_;
   const ExecContext ctx_;
+  const RangeSource next_range_;
   std::optional<BTreeIndex::Iterator> it_;
   uint64_t tuples_fetched_ = 0;
 };
@@ -273,9 +300,56 @@ class MergeJoinOp : public Operator {
   size_t group_pos_ = 0;
 };
 
+/// Hash-aggregation state shared by AggregateOp, BatchAggregateOp and the
+/// parallel two-phase combine, with SQL's NULL semantics: NULL values are
+/// skipped (count counts non-NULL values), NULL group keys form one group,
+/// a group whose values are all NULL still yields a row (count 0;
+/// sum/min/max NULL), and so does a global aggregate over no rows.
+class AggTable {
+ public:
+  struct Acc {
+    int64_t count = 0;
+    int64_t sum = 0;
+    int32_t min = 0;
+    int32_t max = 0;
+
+    void Add(int32_t value) {
+      if (count == 0 || value < min) min = value;
+      if (count == 0 || value > max) max = value;
+      ++count;
+      sum += value;
+    }
+  };
+
+  AggTable(AggFunc func, bool grouped) : func_(func), grouped_(grouped) {}
+
+  /// The accumulator of group `key` (nullptr: the NULL group), or the one
+  /// global accumulator when not grouped.
+  Acc* Group(const int32_t* key) {
+    if (!grouped_) return &global_;
+    if (key == nullptr) {
+      if (!null_group_.has_value()) null_group_.emplace();
+      return &*null_group_;
+    }
+    return &groups_[*key];
+  }
+
+  /// One row per group — [group key,] aggregate value — in CompareValues
+  /// key order (the NULL group first); exactly one row when not grouped.
+  std::vector<Tuple> Rows() const;
+
+ private:
+  Value Result(const Acc& acc) const;
+
+  const AggFunc func_;
+  const bool grouped_;
+  Acc global_;
+  std::optional<Acc> null_group_;
+  std::unordered_map<int32_t, Acc> groups_;
+};
+
 /// Hash aggregation: drains its input on Open (a blocking edge), emits
-/// one row per group — [group key,] aggregate value. NULL inputs are
-/// skipped (SQL semantics); count counts non-null values of the column.
+/// the AggTable rows of its input.
 class AggregateOp : public Operator {
  public:
   AggregateOp(std::unique_ptr<Operator> child, Schema output_schema,
@@ -321,17 +395,29 @@ struct TempResult {
   std::vector<Tuple> tuples;
 };
 
-/// Source over a materialized intermediate (fragment input).
+/// Materialized outputs standing in for a fragment's blocked inputs, keyed
+/// by the plan node each replaces.
+using BlockedInputs = std::map<const PlanNode*, const TempResult*>;
+
+/// Source over a materialized intermediate (fragment input): every tuple,
+/// or only the kBatchTuples-tuple batches `next_batch` hands out.
 class TempSourceOp : public Operator {
  public:
-  explicit TempSourceOp(const TempResult* temp);
+  /// Tuples per granule when a parallel fragment partitions the result.
+  static constexpr size_t kBatchTuples = 64;
+  /// Number of granules a result of `num_tuples` spans.
+  static uint32_t NumBatches(size_t num_tuples);
+
+  explicit TempSourceOp(const TempResult* temp, PageSource next_batch = {});
   Status Open() override;
   Status Next(Tuple* out, bool* eof) override;
   const Schema& schema() const override { return temp_->schema; }
 
  private:
   const TempResult* const temp_;
+  const PageSource next_batch_;
   size_t pos_ = 0;
+  size_t end_ = 0;
 };
 
 /// Cancellation decorator inserted by the plan builders when ctx.cancel is

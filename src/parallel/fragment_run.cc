@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/driven_ops.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/str.h"
@@ -28,7 +27,7 @@ ParallelFragmentRun::ParallelFragmentRun(
     // Driving source is a materialized input: page-partition its batches.
     driving_is_temp_ = true;
     const TempResult* temp = inputs_.at(blocked->second);
-    total_granules_ = DrivenTempSourceOp::NumBatches(temp->tuples.size());
+    total_granules_ = TempSourceOp::NumBatches(temp->tuples.size());
     page_scan_ = std::make_unique<AdjustablePageScan>(
         total_granules_, options.initial_parallelism, options.max_slots);
   } else if (driving_leaf_->kind == PlanKind::kSeqScan) {
@@ -54,31 +53,20 @@ ParallelFragmentRun::~ParallelFragmentRun() {
 
 StatusOr<std::unique_ptr<Operator>> ParallelFragmentRun::BuildPipeline(
     int slot) {
-  DrivingLeafFactory factory =
-      [this, slot](const PlanNode* leaf) -> StatusOr<std::unique_ptr<Operator>> {
-    if (driving_is_temp_) {
-      // Not profiled: a temp source re-emits the producing fragment's
-      // already-counted output.
-      const Fragment& frag = graph_->fragment(frag_id_);
-      const TempResult* temp = inputs_.at(frag.blocked_inputs.at(leaf));
-      return std::unique_ptr<Operator>(std::make_unique<DrivenTempSourceOp>(
-          temp, page_scan_.get(), slot));
-    }
-    if (leaf->kind == PlanKind::kSeqScan) {
-      return MaybeProfile(
-          std::make_unique<DrivenSeqScanOp>(leaf->table, leaf->predicate,
-                                            options_.ctx, page_scan_.get(),
-                                            slot),
-          leaf, options_.ctx.profile);
-    }
-    return MaybeProfile(
-        std::make_unique<DrivenIndexScanOp>(leaf->table, leaf->predicate,
-                                            options_.ctx, range_scan_.get(),
-                                            slot),
-        leaf, options_.ctx.profile);
-  };
-  return BuildFragmentOperatorsWithDriver(*graph_, frag_id_, inputs_,
-                                          options_.ctx, factory);
+  // The slave's copy of the pipeline; its driving leaf pulls granules from
+  // the shared partition state.
+  GranuleSource source;
+  if (range_scan_) {
+    source.next_range = [scan = range_scan_.get(), slot] {
+      return scan->NextChunk(slot);
+    };
+  } else {
+    source.next_page = [scan = page_scan_.get(), slot] {
+      return scan->NextPage(slot);
+    };
+  }
+  return BuildFragmentOperators(*graph_, frag_id_, inputs_, options_.ctx,
+                                source);
 }
 
 void ParallelFragmentRun::SlaveMain(int slot) {
@@ -182,45 +170,24 @@ StatusOr<TempResult> ParallelFragmentRun::Wait() {
                      });
   } else if (root->kind == PlanKind::kAggregate) {
     // Two-phase aggregation: each slave produced partial aggregates over
-    // its partition; combine them (count/sum -> sum, min -> min,
-    // max -> max). Group key is column 0 when grouped.
+    // its partition; combine them (count -> sum of the counts, sum -> sum,
+    // min -> min, max -> max; a NULL partial holds no values but keeps its
+    // group). Group key is column 0 when grouped.
     const bool grouped = root->group_col >= 0;
     const size_t agg_col = grouped ? 1 : 0;
-    std::map<int32_t, int64_t> groups;  // key (or 0 for global) -> value
-    bool any = false;
+    AggTable combined(root->agg_func, grouped);
     for (const Tuple& t : result.tuples) {
-      int32_t key = grouped ? std::get<int32_t>(t.value(0)) : 0;
-      const Value& v = t.value(agg_col);
-      if (IsNull(v)) continue;
-      int64_t partial = std::get<int32_t>(v);
-      auto [it, inserted] = groups.emplace(key, partial);
-      if (!inserted) {
-        switch (root->agg_func) {
-          case AggFunc::kCount:
-          case AggFunc::kSum:
-            it->second += partial;
-            break;
-          case AggFunc::kMin:
-            it->second = std::min(it->second, partial);
-            break;
-          case AggFunc::kMax:
-            it->second = std::max(it->second, partial);
-            break;
-        }
+      AggTable::Acc* acc =
+          combined.Group(grouped ? std::get_if<int32_t>(&t.value(0)) : nullptr);
+      const int32_t* partial = std::get_if<int32_t>(&t.value(agg_col));
+      if (partial == nullptr) continue;
+      if (root->agg_func == AggFunc::kCount) {
+        acc->count += *partial;
+      } else {
+        acc->Add(*partial);
       }
-      any = true;
     }
-    result.tuples.clear();
-    for (const auto& [key, value] : groups) {
-      std::vector<Value> values;
-      if (grouped) values.push_back(Value(key));
-      values.push_back(Value(static_cast<int32_t>(value)));
-      result.tuples.push_back(Tuple(std::move(values)));
-    }
-    // Global count over an empty input still yields one zero row.
-    if (!any && !grouped && root->agg_func == AggFunc::kCount) {
-      result.tuples.push_back(Tuple({Value(int32_t{0})}));
-    }
+    result.tuples = combined.Rows();
   }
 
   if (QueryProfile* profile = options_.ctx.profile;

@@ -8,10 +8,12 @@
 //   - unclustered index scan   -> range partitioning (AdjustableRangeScan)
 //   - materialized input       -> page partitioning over tuple batches
 //
-// Every slave runs its own copy of the pipeline; the pipelines share the
-// partition state, the buffer pool and the disk array (shared memory).
-// Worker outputs are concatenated; fragments rooted at a Sort re-sort the
-// concatenation so the fragment's contract (sorted output) holds.
+// Every slave runs its own copy of the pipeline, built by the one fragment
+// builder with a GranuleSource whose driving leaf pulls granules from the
+// shared partition state; the pipelines also share the buffer pool and the
+// disk array (shared memory). Worker outputs are concatenated; fragments
+// rooted at a Sort re-sort the concatenation so the fragment's contract
+// (sorted output) holds, and Aggregate roots combine the partials.
 
 #ifndef XPRS_PARALLEL_FRAGMENT_RUN_H_
 #define XPRS_PARALLEL_FRAGMENT_RUN_H_

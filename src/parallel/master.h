@@ -8,10 +8,10 @@
 // the running fragment, and fragment completions feed back into the
 // scheduler, which re-pairs and re-balances.
 //
-// On this container (a single hardware core) the wall-clock numbers carry
-// no performance meaning — the fluid simulator is the performance
-// substrate (DESIGN.md) — but the full control loop, including dynamic
-// adjustment under concurrency, is exercised for real.
+// The host has 4 cores, so slaves really run in parallel, but against the
+// paper's 8 processors; the fluid simulator stays the substrate for the
+// paper's figures (DESIGN.md), while the full control loop, including
+// dynamic adjustment under concurrency, runs for real.
 
 #ifndef XPRS_PARALLEL_MASTER_H_
 #define XPRS_PARALLEL_MASTER_H_

@@ -724,8 +724,10 @@ Status DifferentialOracle::CheckScanIoConservation(Table* table) {
     array_->ResetStats();
     uint64_t partition_pages = 0;
     std::vector<Tuple> merged;
+    AdjustablePageScan shared(table->file().num_pages(), degree, degree);
     for (int part = 0; part < degree; ++part) {
-      SeqScanOp scan(table, Predicate(), plain, degree, part);
+      SeqScanOp scan(table, Predicate(), plain,
+                     [&shared, part] { return shared.NextPage(part); });
       XPRS_ASSIGN_OR_RETURN(std::vector<Tuple> rows, Drain(&scan));
       partition_pages += scan.pages_read();
       merged.insert(merged.end(), rows.begin(), rows.end());

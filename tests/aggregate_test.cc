@@ -6,6 +6,7 @@
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "opt/cost_model.h"
+#include "sql/engine.h"
 #include "storage/catalog.h"
 
 namespace xprs {
@@ -87,12 +88,13 @@ TEST_F(AggregateTest, EmptyInputCountIsZero) {
   EXPECT_EQ(std::get<int32_t>((*rows)[0].value(0)), 0);
 }
 
-TEST_F(AggregateTest, EmptyInputMinHasNoRow) {
+TEST_F(AggregateTest, EmptyInputMinIsOneNullRow) {
   auto plan = MakeAggregate(MakeSeqScan(t_, Predicate::Between(0, 99, 99)),
                             AggFunc::kMin, 0);
   auto rows = ExecutePlanSequential(*plan, ctx_);
   ASSERT_TRUE(rows.ok());
-  EXPECT_TRUE(rows->empty());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_TRUE(IsNull((*rows)[0].value(0)));
 }
 
 TEST_F(AggregateTest, NullInputsSkipped) {
@@ -109,6 +111,101 @@ TEST_F(AggregateTest, NullInputsSkipped) {
   auto rows = ExecutePlanSequential(*plan, ctx_);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(std::get<int32_t>((*rows)[0].value(0)), 1);  // NULL skipped
+}
+
+// SQL NULL semantics through every execution path: the serial and
+// vectorized executors and the parallel master (tuple and batch slaves,
+// whose partial aggregates the two-phase combine merges).
+class AggregateNullTest : public AggregateTest {
+ protected:
+  // The probe table (g, v): rows (1,5), (1,NULL), (NULL,3), (NULL,NULL),
+  // (2,NULL), repeated `copies` times. A wide pad column makes many copies
+  // span several pages, so parallel slaves each aggregate a share.
+  void MakeProbe(int copies) {
+    Table* probe =
+        catalog_
+            ->CreateTable("probe", Schema({{"g", TypeId::kInt4},
+                                           {"v", TypeId::kInt4},
+                                           {"pad", TypeId::kText}}))
+            .value();
+    const Value null;
+    const std::vector<std::pair<Value, Value>> rows = {
+        {Value(int32_t{1}), Value(int32_t{5})},
+        {Value(int32_t{1}), null},
+        {null, Value(int32_t{3})},
+        {null, null},
+        {Value(int32_t{2}), null}};
+    for (int c = 0; c < copies; ++c) {
+      for (const auto& [g, v] : rows) {
+        ASSERT_TRUE(probe->file()
+                        .Append(Tuple({g, v, Value(std::string(400, 'p'))}))
+                        .ok());
+      }
+    }
+    ASSERT_TRUE(probe->file().Flush().ok());
+    ASSERT_TRUE(probe->ComputeStats().ok());
+    engine_ = std::make_unique<SqlEngine>(
+        catalog_.get(), MachineConfig::PaperConfig(), &model_);
+  }
+
+  // Runs `sql` through every path and expects exactly `want` (in order).
+  void ExpectEverywhere(const std::string& sql,
+                        const std::vector<std::string>& want) {
+    ExecContext vectorized;
+    vectorized.vectorized = true;
+    MasterOptions parallel;
+    parallel.max_slots = 4;
+    MasterOptions parallel_vectorized = parallel;
+    parallel_vectorized.ctx.vectorized = true;
+    const std::vector<std::pair<std::string, StatusOr<SqlResult>>> runs = {
+        {"serial", engine_->Execute(sql)},
+        {"vectorized", engine_->Execute(sql, vectorized)},
+        {"parallel", engine_->ExecuteParallel(sql, parallel)},
+        {"parallel-vectorized",
+         engine_->ExecuteParallel(sql, parallel_vectorized)}};
+    for (const auto& [mode, result] : runs) {
+      ASSERT_TRUE(result.ok()) << mode << ": " << result.status().ToString();
+      std::vector<std::string> got;
+      for (const Tuple& row : result->rows) got.push_back(row.ToString());
+      EXPECT_EQ(got, want) << mode << ": " << sql;
+    }
+  }
+
+  CostModel model_;
+  std::unique_ptr<SqlEngine> engine_;
+};
+
+TEST_F(AggregateNullTest, NullGroupKeysFormOneGroup) {
+  MakeProbe(1);
+  // The NULL key is a group; group 2 holds only NULL values.
+  ExpectEverywhere("SELECT count(x.v) FROM probe x GROUP BY x.g",
+                   {"(NULL, 1)", "(1, 1)", "(2, 0)"});
+  ExpectEverywhere("SELECT sum(x.v) FROM probe x GROUP BY x.g",
+                   {"(NULL, 3)", "(1, 5)", "(2, NULL)"});
+  ExpectEverywhere("SELECT min(x.v) FROM probe x GROUP BY x.g",
+                   {"(NULL, 3)", "(1, 5)", "(2, NULL)"});
+}
+
+TEST_F(AggregateNullTest, NullGroupsCombineAcrossSlaves) {
+  MakeProbe(40);
+  ASSERT_GE(catalog_->GetTable("probe").value()->file().num_pages(), 8u);
+  ExpectEverywhere("SELECT count(x.v) FROM probe x GROUP BY x.g",
+                   {"(NULL, 40)", "(1, 40)", "(2, 0)"});
+  ExpectEverywhere("SELECT sum(x.v) FROM probe x GROUP BY x.g",
+                   {"(NULL, 120)", "(1, 200)", "(2, NULL)"});
+  ExpectEverywhere("SELECT max(x.v) FROM probe x GROUP BY x.g",
+                   {"(NULL, 3)", "(1, 5)", "(2, NULL)"});
+}
+
+TEST_F(AggregateNullTest, EmptyRangeYieldsOneRow) {
+  MakeProbe(40);
+  const std::string empty = " FROM probe x WHERE x.g BETWEEN -10 AND -1";
+  ExpectEverywhere("SELECT sum(x.v)" + empty, {"(NULL)"});
+  ExpectEverywhere("SELECT min(x.v)" + empty, {"(NULL)"});
+  ExpectEverywhere("SELECT count(x.v)" + empty, {"(0)"});
+  // A global aggregate over values that are all NULL.
+  ExpectEverywhere("SELECT sum(x.v) FROM probe x WHERE x.g BETWEEN 2 AND 2",
+                   {"(NULL)"});
 }
 
 TEST_F(AggregateTest, AggregateOverJoin) {

@@ -14,6 +14,7 @@
 #include "exec/executor.h"
 #include "exec/plan.h"
 #include "exec/profile.h"
+#include "parallel/page_partition.h"
 #include "resilience/cancellation.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
@@ -291,11 +292,24 @@ TEST_F(BatchExecTest, BatchSeqScanMatchesTupleScan) {
 }
 
 TEST_F(BatchExecTest, PartitionedBatchScansUnionToFullScan) {
+  // Three slots of one page partition, each scan pulling its pages through
+  // a granule source. Wide rows give every slot pages.
+  Table* wide = catalog_->CreateTable("wide", Schema::PaperSchema()).value();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(wide->file()
+                    .Append(Tuple({Value(int32_t{i}),
+                                   Value(std::string(500, 'w'))}))
+                    .ok());
+  }
+  ASSERT_TRUE(wide->file().Flush().ok());
+  ASSERT_GE(wide->file().num_pages(), 6u);
   std::vector<Tuple> merged;
+  AdjustablePageScan shared(wide->file().num_pages(), 3, 3);
   for (int part = 0; part < 3; ++part) {
     ExecContext ctx;
     ctx.batch_rows = 16;
-    BatchSeqScanOp scan(r_, ctx, /*num_partitions=*/3, part);
+    BatchSeqScanOp scan(wide, ctx,
+                        [&shared, part] { return shared.NextPage(part); });
     ASSERT_TRUE(scan.Open().ok());
     ColumnBatch batch;
     bool eof = false;
@@ -306,8 +320,10 @@ TEST_F(BatchExecTest, PartitionedBatchScansUnionToFullScan) {
         merged.push_back(batch.MaterializeRow(batch.ActiveRow(k)));
     }
     ASSERT_TRUE(scan.Close().ok());
+    EXPECT_GT(scan.pages_read(), 0u) << "slot " << part;
   }
-  SeqScanOp ref(r_, Predicate(), ctx_);
+  EXPECT_TRUE(shared.Done());
+  SeqScanOp ref(wide, Predicate(), ctx_);
   auto want = Drain(&ref);
   ASSERT_TRUE(want.ok());
   EXPECT_EQ(Normalize(merged), Normalize(*want));
@@ -374,20 +390,19 @@ TEST_F(BatchExecTest, NonVectorizableRootFallsBack) {
 
 TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
   ExecContext plain;
-  EXPECT_TRUE(VectorizableSubtree(*MakeSeqScan(r_, Predicate()), plain, true,
-                                  nullptr));
+  EXPECT_TRUE(VectorizableSubtree(*MakeSeqScan(r_, Predicate()), plain, {}));
   EXPECT_TRUE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     0, 0),
-      plain, true, nullptr));
+      plain, {}));
   EXPECT_FALSE(VectorizableSubtree(*MakeSort(MakeSeqScan(r_, Predicate()), 0),
-                                   plain, true, nullptr));
+                                   plain, {}));
   // Text join keys fall back to the tuple path (it never type-checks keys
   // it does not extract, and batch columns are int4-keyed).
   EXPECT_FALSE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     1, 1),
-      plain, true, nullptr));
+      plain, {}));
   // Spilling joins defer to GraceHashJoinOp.
   ExecContext spilling = plain;
   DiskArray temp(1, DiskMode::kInstant);
@@ -396,7 +411,7 @@ TEST_F(BatchExecTest, VectorizableSubtreePredicate) {
   EXPECT_FALSE(VectorizableSubtree(
       *MakeHashJoin(MakeSeqScan(r_, Predicate()), MakeSeqScan(s_, Predicate()),
                     0, 0),
-      spilling, true, nullptr));
+      spilling, {}));
 }
 
 TEST_F(BatchExecTest, CancellationStopsVectorizedRun) {

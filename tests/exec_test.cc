@@ -10,6 +10,7 @@
 #include "exec/executor.h"
 #include "exec/fragment.h"
 #include "exec/plan.h"
+#include "parallel/page_partition.h"
 #include "storage/catalog.h"
 #include "util/rng.h"
 
@@ -48,6 +49,22 @@ class ExecTest : public ::testing::Test {
     ASSERT_TRUE(s_->file().Flush().ok());
     ASSERT_TRUE(s_->BuildIndex(0).ok());
     ASSERT_TRUE(s_->ComputeStats().ok());
+  }
+
+  // wide(a, b): a = 0..199, b 500 bytes — about 13 pages, so every slot of
+  // a partitioned scan up to degree 7 gets pages.
+  Table* MakeWide() {
+    Table* wide = catalog_->CreateTable("wide", Schema::PaperSchema()).value();
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_TRUE(wide->file()
+                      .Append(Tuple({Value(int32_t{i}),
+                                     Value(std::string(500, 'w'))}))
+                      .ok());
+    }
+    EXPECT_TRUE(wide->file().Flush().ok());
+    EXPECT_TRUE(wide->ComputeStats().ok());
+    EXPECT_GE(wide->file().num_pages(), 7u);
+    return wide;
   }
 
   // Normalizes results for order-insensitive comparison.
@@ -138,12 +155,16 @@ TEST_F(ExecTest, SeqScanAppliesPredicate) {
 }
 
 TEST_F(ExecTest, PartitionedScansUnionToFullScan) {
+  Table* wide = MakeWide();
   for (int n : {2, 3, 4, 7}) {
     std::multiset<std::string> combined;
+    AdjustablePageScan shared(wide->file().num_pages(), n, n);
     for (int i = 0; i < n; ++i) {
-      SeqScanOp scan(r_, Predicate(), ctx_, n, i);
+      SeqScanOp scan(wide, Predicate(), ctx_,
+                     [&shared, i] { return shared.NextPage(i); });
       auto rows = Drain(&scan);
       ASSERT_TRUE(rows.ok());
+      EXPECT_GT(scan.pages_read(), 0u) << "n=" << n << " slot " << i;
       for (const auto& t : *rows) combined.insert(t.ToString());
     }
     EXPECT_EQ(combined.size(), 200u) << "n=" << n;
@@ -318,9 +339,11 @@ TEST_F(ExecTest, FragmentedExecutionMatchesSequential) {
 }
 
 TEST_F(ExecTest, FragmentPartitionedExecutionUnions) {
-  // Run the probe fragment of a hash join in 3 partitions; the union must
-  // equal the unpartitioned result.
-  auto plan = MakeHashJoin(MakeSeqScan(r_, Predicate()),
+  // Run the probe fragment of a hash join as the 3 slots of one page
+  // partition, each through its own granule source; the union must equal
+  // the unpartitioned result. Wide probe rows give every slot pages.
+  Table* wide = MakeWide();
+  auto plan = MakeHashJoin(MakeSeqScan(wide, Predicate()),
                            MakeSeqScan(s_, Predicate()), 0, 0);
   FragmentGraph g = FragmentGraph::Decompose(*plan);
   int build_id = g.fragment(g.root_fragment()).deps[0];
@@ -330,11 +353,19 @@ TEST_F(ExecTest, FragmentPartitionedExecutionUnions) {
   std::map<int, const TempResult*> inputs{{build_id, &build.value()}};
 
   std::multiset<std::string> combined;
+  AdjustablePageScan shared(wide->file().num_pages(), 3, 3);
   for (int i = 0; i < 3; ++i) {
-    auto part = ExecuteFragment(g, g.root_fragment(), inputs, ctx_, 3, i);
+    GranuleSource source;
+    source.next_page = [&shared, i] { return shared.NextPage(i); };
+    auto part = BuildFragmentOperators(g, g.root_fragment(), inputs, ctx_,
+                                       source);
     ASSERT_TRUE(part.ok());
-    for (const auto& t : part->tuples) combined.insert(t.ToString());
+    auto rows = Drain(part->get());
+    ASSERT_TRUE(rows.ok());
+    EXPECT_FALSE(rows->empty()) << "slot " << i;
+    for (const auto& t : *rows) combined.insert(t.ToString());
   }
+  EXPECT_TRUE(shared.Done());
 
   auto whole = ExecutePlanSequential(*plan, ctx_);
   ASSERT_TRUE(whole.ok());

@@ -11,6 +11,7 @@
 #include "exec/batch_ops.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
+#include "parallel/page_partition.h"
 #include "storage/buffer_pool.h"
 #include "storage/catalog.h"
 #include "storage/fault_injector.h"
@@ -215,6 +216,26 @@ TEST_F(OpenLeakTest, BatchAggregateOpenFailureClosesChild) {
   ASSERT_FALSE(agg.Open().ok());
   EXPECT_EQ(child.opens, 1);
   EXPECT_EQ(child.closes, 1);
+}
+
+TEST_F(OpenLeakTest, GranuleDrivenScanReleasesPinOnClose) {
+  // A slave's scan, pulling its pages from the shared partition state,
+  // holds its current page pinned across Next calls; Close must release
+  // it at once, not when the pipeline is destroyed.
+  BufferPool pool(array_.get(), 8);
+  ExecContext pooled;
+  pooled.pool = &pool;
+  AdjustablePageScan shared(t_->file().num_pages(), 2, 2);
+  SeqScanOp scan(t_, Predicate(), pooled,
+                 [&shared] { return shared.NextPage(0); });
+  ASSERT_TRUE(scan.Open().ok());
+  Tuple tuple;
+  bool eof = true;
+  ASSERT_TRUE(scan.Next(&tuple, &eof).ok());
+  ASSERT_FALSE(eof);
+  EXPECT_EQ(pool.PinnedFrames(), 1u);
+  ASSERT_TRUE(scan.Close().ok());
+  EXPECT_EQ(pool.PinnedFrames(), 0u);
 }
 
 TEST_F(OpenLeakTest, DrainClosesOnNextError) {
